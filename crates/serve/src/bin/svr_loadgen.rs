@@ -14,6 +14,8 @@
 //! counter *deltas* are the accounting the benchmark judges:
 //!
 //! * `jobs_errors_total` delta must be 0;
+//! * every stream must end with a terminal `state` event: a stream cut
+//!   short is a client error, reported as `truncated_streams`;
 //! * `jobs_simulated_total + jobs_cached_total` delta must equal the
 //!   number of unique points (each unique point resolved exactly once);
 //! * without `--addr` (self-hosted daemon, fresh cache) the simulated
@@ -121,17 +123,28 @@ fn counter(samples: &[Sample], name: &str) -> u64 {
     find_sample(samples, name, &[]).map_or(0, |s| s.value as u64)
 }
 
+/// What one client saw.
+#[derive(Default)]
+struct ClientTally {
+    submits: u64,
+    /// Streams that failed: non-200, an `error` state, or truncated.
+    errors: u64,
+    /// Streams whose last `state` event is not terminal (the daemon closed
+    /// the response before the job's final state arrived).
+    truncated: u64,
+}
+
 /// One client's run: submit every point (latency recorded per POST), then
-/// stream every job to a terminal state. Returns (submits, errors).
+/// stream every job to a terminal state.
 fn run_client(
     addr: &str,
     name: &str,
     specs: &[PointSpec],
     latency: &Histogram,
-) -> Result<(u64, u64), String> {
+) -> Result<ClientTally, String> {
     let policy = http::RetryPolicy::new(u64::from(std::process::id()) ^ name.len() as u64);
     let mut hashes = Vec::new();
-    let mut submits = 0u64;
+    let mut tally = ClientTally::default();
     for spec in specs {
         let body = Json::Obj(vec![
             ("client".into(), Json::str(name)),
@@ -149,7 +162,7 @@ fn run_client(
             |_| {},
         )?;
         latency.record_duration_us(t0.elapsed());
-        submits += 1;
+        tally.submits += 1;
         if resp.status != 200 {
             return Err(format!("submit returned {}", resp.status));
         }
@@ -163,7 +176,6 @@ fn run_client(
             }
         }
     }
-    let mut errors = 0u64;
     for hash in &hashes {
         let resp = http::request_with_retry(
             addr,
@@ -175,15 +187,23 @@ fn run_client(
             |_| {},
         )?;
         let text = String::from_utf8_lossy(&resp.body);
-        let errored = text
+        let states: Vec<Json> = text
             .lines()
             .filter_map(|l| Json::parse(l).ok())
-            .any(|e| matches!(e.get("state").and_then(Json::as_str), Some("error")));
-        if resp.status != 200 || errored {
-            errors += 1;
+            .filter(|e| e.get("event").and_then(Json::as_str) == Some("state"))
+            .collect();
+        let errored = states
+            .iter()
+            .any(|e| e.get("state").and_then(Json::as_str) == Some("error"));
+        let truncated = resp.status == 200
+            && states.last().and_then(|e| e.get("terminal")).and_then(Json::as_bool)
+                != Some(true);
+        tally.truncated += u64::from(truncated);
+        if resp.status != 200 || errored || truncated {
+            tally.errors += 1;
         }
     }
-    Ok((submits, errors))
+    Ok(tally)
 }
 
 fn run() -> Result<i32, String> {
@@ -233,7 +253,7 @@ fn run() -> Result<i32, String> {
     let before = scrape(&addr)?;
     let latency = Arc::new(Histogram::default());
     let wall = Instant::now();
-    let results: Vec<Result<(u64, u64), String>> = std::thread::scope(|s| {
+    let results: Vec<Result<ClientTally, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..args.clients)
             .map(|i| {
                 let addr = addr.clone();
@@ -266,10 +286,12 @@ fn run() -> Result<i32, String> {
 
     let mut total_submits = 0u64;
     let mut client_errors = 0u64;
+    let mut truncated_streams = 0u64;
     for r in results {
-        let (s, e) = r?;
-        total_submits += s;
-        client_errors += e;
+        let t = r?;
+        total_submits += t.submits;
+        client_errors += t.errors;
+        truncated_streams += t.truncated;
     }
 
     let delta = |name: &str| counter(&after, name).saturating_sub(counter(&before, name));
@@ -314,6 +336,7 @@ fn run() -> Result<i32, String> {
         ("cached".into(), Json::u64(cached)),
         ("joined".into(), Json::u64(joined)),
         ("errors".into(), Json::u64(errors)),
+        ("truncated_streams".into(), Json::u64(truncated_streams)),
         ("sims_per_unique_point".into(), Json::f64(sims_per_unique)),
         ("self_hosted".into(), Json::Bool(self_hosted)),
         ("dedup_ok".into(), Json::Bool(dedup_ok)),
@@ -328,7 +351,8 @@ fn run() -> Result<i32, String> {
     println!(
         "loadgen: {} clients x {} points -> {} submits in {} ms \
          (p50={}us p99={}us); simulated={simulated} cached={cached} \
-         joined={joined} errors={errors} dedup_ok={dedup_ok}",
+         joined={joined} errors={errors} truncated_streams={truncated_streams} \
+         dedup_ok={dedup_ok}",
         args.clients,
         unique,
         total_submits,
@@ -340,7 +364,8 @@ fn run() -> Result<i32, String> {
     if !dedup_ok {
         eprintln!(
             "loadgen: DEDUP VIOLATION: simulated={simulated} cached={cached} \
-             unique={unique} errors={errors} client_errors={client_errors}"
+             unique={unique} errors={errors} client_errors={client_errors} \
+             truncated_streams={truncated_streams}"
         );
         return Ok(1);
     }

@@ -12,10 +12,12 @@
 //!   responses are surfaced chunk-by-chunk through a callback so progress
 //!   lines appear live).
 //!
-//! Everything is `Connection: close` — one request per TCP connection. At
-//! the simulation server's request rates (humans and scripts, not load
-//! balancers) connection reuse buys nothing and keep-alive bookkeeping is
-//! where hand-rolled HTTP servers traditionally harbor their bugs.
+//! Everything is `Connection: close` — one request per TCP connection. The
+//! server's accept loop blocks in `accept`, so a new connection costs one
+//! loopback handshake and one handler thread, not a wait; at the simulation
+//! server's request rates (humans and scripts, not load balancers)
+//! connection reuse buys little, and keep-alive bookkeeping is where
+//! hand-rolled HTTP servers traditionally harbor their bugs.
 //!
 //! Hard limits: 64 KiB of request head, 16 MiB of body. Everything beyond
 //! is a parse error, never a panic (this crate is subject to the repo's
@@ -233,15 +235,16 @@ pub fn respond(
 }
 
 /// An in-progress `Transfer-Encoding: chunked` response; one
-/// [`Chunked::send`] per progress line.
-pub struct Chunked<'a> {
-    stream: &'a mut TcpStream,
+/// [`Chunked::send`] per progress line. Generic over the writer so the
+/// stream relay can be driven into a buffer in tests.
+pub struct Chunked<W: Write> {
+    stream: W,
 }
 
-impl<'a> Chunked<'a> {
+impl<W: Write> Chunked<W> {
     /// Writes the response head and returns the chunk writer.
     pub fn start(
-        stream: &'a mut TcpStream,
+        mut stream: W,
         status: u16,
         reason: &str,
         content_type: &str,
@@ -260,13 +263,13 @@ impl<'a> Chunked<'a> {
         let payload = format!("{line}\n");
         let framed = format!("{:x}\r\n{payload}\r\n", payload.len());
         if fault::fires(FaultSite::ConnDropChunk) {
-            // Injected mid-stream disconnect: half a frame, then the socket
-            // dies. The client must see a transport error (never a clean
-            // end-of-stream) and recover by retrying.
+            // Injected mid-stream disconnect: half a frame, then an error
+            // that makes the handler drop the connection. The client must
+            // see a transport error (never a clean end-of-stream) and
+            // recover by retrying.
             let half = &framed.as_bytes()[..framed.len() / 2];
             let _ = self.stream.write_all(half);
             let _ = self.stream.flush();
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
             return Err(std::io::Error::new(
                 std::io::ErrorKind::ConnectionAborted,
                 "injected fault: conn_drop_chunk",
@@ -277,7 +280,7 @@ impl<'a> Chunked<'a> {
     }
 
     /// Sends the terminating zero-length chunk.
-    pub fn finish(self) -> std::io::Result<()> {
+    pub fn finish(mut self) -> std::io::Result<()> {
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
     }

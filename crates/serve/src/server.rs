@@ -28,11 +28,19 @@
 //! still-queued jobs interrupted (their journal entries remain), and a
 //! restarted daemon re-enqueues everything found in the pending directory —
 //! points that completed before the kill resolve instantly from the cache.
+//!
+//! The accept loop blocks in `accept`, so a connection is served the moment
+//! it arrives. A drain-watcher thread wakes it when a drain begins by
+//! connecting to the listener once; the loop never dispatches a connection
+//! accepted after the drain began, so that wake-up is never handled as a
+//! request.
 
+use crate::http::Chunked;
 use crate::log;
 use crate::protocol::{error_body, parse_submit, PointSpec, ProtoError, ResolvedPoint};
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,6 +57,13 @@ use svr_sim::{
     SimError,
 };
 use svr_trace::{TraceEvent, TraceSink};
+
+/// How often threads waiting for work or for a drain re-check
+/// [`shutdown::requested`] (a signal flips a flag; it notifies nobody).
+const SIGNAL_POLL: Duration = Duration::from_millis(200);
+
+/// Back-off after a failed `accept` (e.g. EMFILE) so the loop cannot spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Locks a mutex, riding through poisoning (workers catch panics at the job
 /// boundary; registry state is updated atomically under the lock).
@@ -464,6 +479,9 @@ pub struct Server {
     cache: ResultCache,
     sched: Mutex<Sched>,
     wake: Condvar,
+    /// Signalled (with `sched` held) when a drain begins; the drain watcher
+    /// waits on it.
+    drain_cv: Condvar,
     draining: AtomicBool,
     /// Counters for `/v1/status`.
     pub counters: Counters,
@@ -491,6 +509,7 @@ impl Server {
             cache,
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
+            drain_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             counters,
             metrics,
@@ -515,7 +534,11 @@ impl Server {
     /// rest. Idempotent.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
+        // Notify under the lock the waiters check `draining()` under, so
+        // none can miss the transition between its check and its wait.
+        let _sched = lock_ok(&self.sched);
         self.wake.notify_all();
+        self.drain_cv.notify_all();
     }
 
     /// Submits one validated point for `client`. The caller resolves the
@@ -706,7 +729,7 @@ impl Server {
                     }
                     let (guard, _) = self
                         .wake
-                        .wait_timeout(sched, Duration::from_millis(200))
+                        .wait_timeout(sched, SIGNAL_POLL)
                         .unwrap_or_else(|p| p.into_inner());
                     sched = guard;
                 }
@@ -905,7 +928,8 @@ impl Server {
     /// workers and journals unfinished work. Returns only after a clean
     /// drain.
     pub fn serve(self: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
+        let wake = wake_addr(listener.local_addr()?);
         let workers: Vec<std::thread::JoinHandle<()>> = (0..self.cfg.workers.max(1))
             .map(|_| {
                 let srv = Arc::clone(self);
@@ -913,19 +937,28 @@ impl Server {
             })
             .collect();
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.draining() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let srv = Arc::clone(self);
-                    conns.push(std::thread::spawn(move || srv.handle_conn(stream)));
+        let accepting = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            s.spawn(|| self.watch_drain(wake, &accepting));
+            loop {
+                let accepted = listener.accept();
+                // Checked after `accept` returns: the watcher connects only
+                // once a drain has begun, so its wake-up connection (like
+                // any connection that arrives later) is never dispatched.
+                if self.draining() {
+                    break;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                match accepted {
+                    Ok((stream, _)) => {
+                        let srv = Arc::clone(self);
+                        conns.push(std::thread::spawn(move || srv.handle_conn(stream)));
+                    }
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                conns.retain(|h| !h.is_finished());
             }
-            conns.retain(|h| !h.is_finished());
-        }
+            accepting.store(false, Ordering::SeqCst);
+        });
         self.begin_drain();
         for w in workers {
             let _ = w.join();
@@ -938,6 +971,29 @@ impl Server {
             let _ = c.join();
         }
         Ok(())
+    }
+
+    /// Drain watcher: waits until a drain begins, then wakes the accept loop
+    /// with one connection to the listener's own address. It is needed
+    /// because [`shutdown`] installs its handler with `signal(2)`, which
+    /// restarts a blocked `accept` instead of interrupting it. Connecting is
+    /// retried (e.g. on EMFILE) until the accept loop reports it stopped.
+    fn watch_drain(&self, wake: SocketAddr, accepting: &AtomicBool) {
+        let mut sched = lock_ok(&self.sched);
+        while !self.draining() {
+            sched = self
+                .drain_cv
+                .wait_timeout(sched, SIGNAL_POLL)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+        }
+        drop(sched);
+        while accepting.load(Ordering::SeqCst) {
+            if TcpStream::connect_timeout(&wake, SIGNAL_POLL).is_ok() {
+                return;
+            }
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+        }
     }
 
     /// Handles one `Connection: close` request.
@@ -1246,51 +1302,51 @@ impl Server {
         let _ = stream.set_read_timeout(None);
         let _ = stream.set_write_timeout(Some(self.cfg.write_timeout));
         let (rx, replay) = job.subscribe();
-        let Ok(mut chunked) =
-            crate::http::Chunked::start(stream, 200, "OK", "application/x-ndjson")
-        else {
-            return;
-        };
-        for line in &replay {
-            if chunked.send(line).is_err() {
-                return;
-            }
-        }
-        if job.phase().terminal() {
-            let _ = chunked.finish();
-            return;
-        }
-        loop {
-            match rx.recv_timeout(Duration::from_millis(250)) {
-                Ok(line) => {
-                    let terminal = line.contains("\"terminal\": true")
-                        || line.contains("\"terminal\":true");
-                    if chunked.send(&line).is_err() {
-                        return;
-                    }
-                    if terminal {
-                        let _ = chunked.finish();
-                        return;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if job.phase().terminal() {
-                        // Subscribed after the final broadcast raced past.
-                        let inner = lock_ok(&job.inner);
-                        let line = job.state_line(&inner);
-                        drop(inner);
-                        let _ = chunked.send(&line);
-                        let _ = chunked.finish();
-                        return;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    let _ = chunked.finish();
-                    return;
-                }
-            }
+        if let Ok(chunked) = Chunked::start(stream, 200, "OK", "application/x-ndjson") {
+            let _ = relay_events(chunked, &replay, &rx);
         }
     }
+}
+
+/// Writes one job's event stream from a [`Job::subscribe`]: the replay, then
+/// live events until the terminal state event or until the job's channel
+/// closes. Terminality is read off the replay's last line — the state at
+/// subscription time — never off a second look at the job: a job that
+/// finishes after `subscribe` has its terminal line waiting in `rx`.
+fn relay_events<W: Write>(
+    mut out: Chunked<W>,
+    replay: &[String],
+    rx: &mpsc::Receiver<String>,
+) -> std::io::Result<()> {
+    for line in replay {
+        out.send(line)?;
+    }
+    let mut terminal = replay.last().is_some_and(|l| is_terminal_event(l));
+    while !terminal {
+        let Ok(line) = rx.recv() else { break };
+        out.send(&line)?;
+        terminal = is_terminal_event(&line);
+    }
+    out.finish()
+}
+
+/// Whether an event line is a terminal state event (lines are compact JSON,
+/// see [`Job::state_line`]).
+fn is_terminal_event(line: &str) -> bool {
+    line.contains("\"terminal\":true")
+}
+
+/// Where the drain watcher connects to wake the accept loop: the
+/// listener's own address, with an unspecified IP (`0.0.0.0`, `::`)
+/// replaced by loopback of the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
 }
 
 /// Saturating microseconds of a duration (histogram/log unit).
@@ -1633,6 +1689,46 @@ mod tests {
         assert_eq!(err.get("config").and_then(Json::as_str), Some("InO"));
         assert_eq!(srv.counters.errors.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stream_of_a_job_that_finishes_after_subscribe_ends_terminal() {
+        let (cfg, dir) = temp_cfg("relay");
+        let srv = Server::new(cfg);
+        let s = spec("Camel", "InO");
+        let r = s.resolve().expect("valid");
+        let (job, _) = srv.submit("alice", &s, &r).expect("ok");
+        let (rx, replay) = job.subscribe();
+        assert!(
+            replay.last().is_some_and(|l| !is_terminal_event(l)),
+            "subscribed while queued: {replay:?}"
+        );
+        // The job finishes between subscribe and the relay: its terminal
+        // line is waiting in `rx` and must reach the client.
+        job.finish_done("cached", Json::Null);
+        let mut out = Vec::new();
+        let chunked = Chunked::start(&mut out, 200, "OK", "application/x-ndjson").expect("head");
+        relay_events(chunked, &replay, &rx).expect("relay");
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.ends_with("\r\n0\r\n\r\n"), "stream not finished: {text:?}");
+        let events: Vec<Json> = text
+            .lines()
+            .filter(|l| l.starts_with('{'))
+            .map(|l| Json::parse(l).expect("event line is JSON"))
+            .collect();
+        let last = events.last().expect("at least one event");
+        assert_eq!(last.get("event").and_then(Json::as_str), Some("state"));
+        assert_eq!(last.get("state").and_then(Json::as_str), Some("done"));
+        assert_eq!(last.get("terminal").and_then(Json::as_bool), Some(true));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_to_loopback() {
+        let addr = |s: &str| s.parse::<SocketAddr>().expect("socket addr");
+        assert_eq!(wake_addr(addr("0.0.0.0:7070")), addr("127.0.0.1:7070"));
+        assert_eq!(wake_addr(addr("[::]:7070")), addr("[::1]:7070"));
+        assert_eq!(wake_addr(addr("10.1.2.3:7070")), addr("10.1.2.3:7070"));
     }
 
     #[test]

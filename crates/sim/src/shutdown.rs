@@ -4,10 +4,13 @@
 //! `ctrlc` to lean on; instead we register a minimal `extern "C"` handler
 //! through libc's `signal(2)` (already linked by std) that flips one
 //! [`AtomicBool`]. Long-running loops — sweep workers between jobs, the
-//! `svr_serve` accept loop — poll [`requested`] and wind down cleanly:
-//! in-flight jobs finish and are journaled/cached, queued work is surfaced
-//! as structured [`crate::SimError::Interrupted`] errors instead of dying
-//! mid-write.
+//! `svr_serve` workers and its drain watcher — poll [`requested`] and wind
+//! down cleanly: in-flight jobs finish and are journaled/cached, queued
+//! work is surfaced as structured [`crate::SimError::Interrupted`] errors
+//! instead of dying mid-write. `signal(2)` handlers restart interrupted
+//! system calls, so a thread blocked in `accept` never sees the signal;
+//! `svr_serve`'s drain watcher polls the flag and wakes its accept loop
+//! with a connection to the daemon's own port.
 //!
 //! Installing is idempotent and opt-in: library code never installs
 //! handlers behind a caller's back (a test harness may own SIGINT), the

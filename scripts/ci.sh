@@ -312,6 +312,25 @@ start_daemon() {
     cat "$1" >&2; exit 1; }
 }
 
+# Waits up to $2 seconds for daemon $1 to exit and leaves its exit status in
+# drain_rc. The daemon's accept loop blocks in accept() until its drain
+# watcher wakes it, so a missed wake-up would hang the drain forever; past the
+# bound the daemon is killed and this fails CI instead.
+wait_drained() {
+  for _ in $(seq 1 $(( $2 * 10 ))); do
+    kill -0 "$1" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$1" 2>/dev/null; then
+    kill -9 "$1" 2>/dev/null || true
+    wait "$1" 2>/dev/null || true
+    echo "FAIL: daemon did not drain within $2 s" >&2
+    return 1
+  fi
+  drain_rc=0
+  wait "$1" || drain_rc=$?
+}
+
 start_daemon "$SERVE_OUT/serve1.log"
 # Two clients submit overlapping batches concurrently (SVR16 is in both) and
 # follow the chunked progress streams to the terminal events.
@@ -407,15 +426,23 @@ if [ "$cached_delta" -ne 3 ] || [ "$hits_delta" -ne 3 ]; then
   echo "FAIL: warm resubmit should move cached and cache-hit counters by 3" >&2
   diff "$SERVE_OUT/metrics2a.txt" "$SERVE_OUT/metrics2b.txt" >&2 || true; exit 1
 fi
-# Clean lifecycle: a drain requested over the wire must exit 0.
+# Clean lifecycle: a drain requested over the wire must exit 0, promptly.
 ./target/release/svr_client shutdown --addr "$serve_addr" > /dev/null
-rc=0
-wait "$serve_pid" || rc=$?
-if [ "$rc" -ne 0 ]; then
-  echo "FAIL: drained daemon exited $rc (expected 0)" >&2
+wait_drained "$serve_pid" 10 || { cat "$SERVE_OUT/serve2.log" >&2; exit 1; }
+if [ "$drain_rc" -ne 0 ]; then
+  echo "FAIL: drained daemon exited $drain_rc (expected 0)" >&2
   cat "$SERVE_OUT/serve2.log" >&2; exit 1
 fi
-echo "server smoke: dedup, streaming, resume and clean drain all verified"
+# SIGTERM on an idle daemon: the signal only flips a flag, so the drain
+# watcher must notice it and wake the blocked accept loop.
+start_daemon "$SERVE_OUT/serve3.log"
+kill -TERM "$serve_pid"
+wait_drained "$serve_pid" 10 || { cat "$SERVE_OUT/serve3.log" >&2; exit 1; }
+if [ "$drain_rc" -ne 0 ] || ! grep -q '"event":"drained"' "$SERVE_OUT/serve3.log"; then
+  echo "FAIL: SIGTERMed idle daemon exited $drain_rc without a clean drain" >&2
+  cat "$SERVE_OUT/serve3.log" >&2; exit 1
+fi
+echo "server smoke: dedup, streaming, resume and clean drain (wire + SIGTERM) all verified"
 
 echo "=== chaos smoke: faulted daemon keeps exactly-once and drains clean ==="
 # A fixed fault schedule (seeded, probability-1 rules with per-site caps, so
@@ -463,10 +490,9 @@ if [ "$csim" != "3" ] || [ "$cacc" != "3" ] || [ "$cjoin" != "1" ] || [ "$cerr" 
   cat "$SERVE_OUT/chaos_status.json" >&2; exit 1
 fi
 ./target/release/svr_client shutdown --addr "$serve_addr" > /dev/null
-rc=0
-wait "$serve_pid" || rc=$?
-if [ "$rc" -ne 0 ]; then
-  echo "FAIL: faulted daemon exited $rc on drain (expected 0)" >&2
+wait_drained "$serve_pid" 10 || { cat "$SERVE_OUT/chaos.log" >&2; exit 1; }
+if [ "$drain_rc" -ne 0 ]; then
+  echo "FAIL: faulted daemon exited $drain_rc on drain (expected 0)" >&2
   cat "$SERVE_OUT/chaos.log" >&2; exit 1
 fi
 # The drain report is a structured log line now: {"event":"faults_fired",...}.
