@@ -293,10 +293,20 @@ impl MemImage {
     }
 
     /// Allocates and initializes an array of words; returns the base address.
+    ///
+    /// Copies page-sized runs: each page is resolved (and journaled, when
+    /// tracking) once, in ascending order, exactly as a per-word
+    /// [`DataMemory::write_u64`] loop would map and journal it, so the
+    /// resulting image is identical to one built word by word.
     pub fn alloc_array(&mut self, words: &[u64]) -> u64 {
         let base = self.alloc_words(words.len() as u64);
-        for (i, &w) in words.iter().enumerate() {
-            self.write_u64(base + 8 * i as u64, w);
+        let (mut addr, mut rest) = (base, words);
+        while !rest.is_empty() {
+            let word = ((addr >> 3) & (PAGE_WORDS as u64 - 1)) as usize;
+            let run = (PAGE_WORDS - word).min(rest.len());
+            self.page_mut(addr >> 12)[word..word + run].copy_from_slice(&rest[..run]);
+            rest = &rest[run..];
+            addr += 8 * run as u64;
         }
         base
     }
@@ -309,6 +319,31 @@ impl MemImage {
     /// Number of distinct mapped 4 KiB pages (touched by writes).
     pub fn mapped_pages(&self) -> usize {
         self.pages.len() + self.spill.len()
+    }
+
+    /// The writable storage of `page`: journals its pre-write contents when
+    /// tracking, maps it (zeroed) on first touch, and un-shares it from any
+    /// clone (copy-on-write). Every write goes through here; always inlined
+    /// because it is the whole of `write_u64`, on every simulated store.
+    #[inline(always)]
+    fn page_mut(&mut self, page: u64) -> &mut [u64; PAGE_WORDS] {
+        if self.track.is_some() {
+            self.note_write(page);
+        }
+        if page < DENSE_PAGES {
+            let mut slot = self.dense_slot(page);
+            if slot == NO_SLOT {
+                if self.table.len() <= page as usize {
+                    self.table.resize(page as usize + 1, NO_SLOT);
+                }
+                slot = self.pages.len() as u32;
+                self.pages.push(zero_page());
+                self.table[page as usize] = slot;
+                self.last.set([(page, slot), self.last.get()[0]]);
+            }
+            return Arc::make_mut(&mut self.pages[slot as usize]);
+        }
+        Arc::make_mut(self.spill.entry(page).or_insert_with(zero_page))
     }
 
     /// Looks up the slot of a dense page, consulting the last-page cache.
@@ -352,26 +387,8 @@ impl DataMemory for MemImage {
     }
 
     fn write_u64(&mut self, addr: u64, value: u64) {
-        let page = addr >> 12;
         let word = ((addr >> 3) & (PAGE_WORDS as u64 - 1)) as usize;
-        if self.track.is_some() {
-            self.note_write(page);
-        }
-        if page < DENSE_PAGES {
-            let mut slot = self.dense_slot(page);
-            if slot == NO_SLOT {
-                if self.table.len() <= page as usize {
-                    self.table.resize(page as usize + 1, NO_SLOT);
-                }
-                slot = self.pages.len() as u32;
-                self.pages.push(zero_page());
-                self.table[page as usize] = slot;
-                self.last.set([(page, slot), self.last.get()[0]]);
-            }
-            Arc::make_mut(&mut self.pages[slot as usize])[word] = value;
-            return;
-        }
-        Arc::make_mut(self.spill.entry(page).or_insert_with(zero_page))[word] = value;
+        self.page_mut(addr >> 12)[word] = value;
     }
 
     /// Page-aware bulk read: resolves each page once and memcpys whole runs
@@ -443,6 +460,108 @@ mod tests {
         let a = img.alloc_array(&[7, 8, 9]);
         assert_eq!(img.read_u64(a), 7);
         assert_eq!(img.read_u64(a + 16), 9);
+    }
+
+    /// The word-by-word `alloc_array` the page-run copy must reproduce.
+    fn alloc_array_per_word(img: &mut MemImage, words: &[u64]) -> u64 {
+        let base = img.alloc_words(words.len() as u64);
+        for (i, &w) in words.iter().enumerate() {
+            img.write_u64(base + 8 * i as u64, w);
+        }
+        base
+    }
+
+    /// Same contents, same pages mapped in the same order, same break.
+    fn assert_same_image(fast: &MemImage, slow: &MemImage, what: &str) {
+        assert_eq!(fast.content_hash(), slow.content_hash(), "{what}: content");
+        assert_eq!(fast.mapped_pages(), slow.mapped_pages(), "{what}: pages");
+        assert_eq!(fast.table, slow.table, "{what}: page order");
+        assert_eq!(
+            fast.allocated_bytes(),
+            slow.allocated_bytes(),
+            "{what}: brk"
+        );
+    }
+
+    /// Nonzero words with a zero every seventh and an all-zero stretch
+    /// longer than a page: writing zeros still maps the pages they land on.
+    fn sample_words(len: usize) -> Vec<u64> {
+        (0..len as u64)
+            .map(|i| {
+                if i % 7 == 0 || (600..1200).contains(&i) {
+                    0
+                } else {
+                    i.wrapping_mul(0x9e37_79b9)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn alloc_array_matches_per_word_writes() {
+        // Leads of 0, 1, 5 and 500 words start the array page-aligned, one
+        // line in, a few lines in, and on the page's last line.
+        for lead in [0, 1, 5, 500] {
+            for len in [0, 1, 511, 512, 513, 5000] {
+                let what = format!("lead {lead} len {len}");
+                let words = sample_words(len);
+                let (mut fast, mut slow) = (MemImage::new(), MemImage::new());
+                assert_eq!(fast.alloc_words(lead), slow.alloc_words(lead));
+                let a = fast.alloc_array(&words);
+                assert_eq!(a, alloc_array_per_word(&mut slow, &words), "{what}");
+                assert_same_image(&fast, &slow, &what);
+                for (i, &w) in words.iter().enumerate() {
+                    assert_eq!(fast.read_u64(a + 8 * i as u64), w, "{what}: word {i}");
+                }
+                // Later allocations land at the same addresses, including an
+                // array that starts on the already-mapped last page.
+                assert_eq!(fast.alloc_words(3), slow.alloc_words(3), "{what}");
+                let tail = sample_words(9);
+                assert_eq!(
+                    fast.alloc_array(&tail),
+                    alloc_array_per_word(&mut slow, &tail),
+                    "{what}"
+                );
+                assert_same_image(&fast, &slow, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn alloc_array_journals_like_per_word_writes() {
+        for len in [1, 513, 5000] {
+            let what = format!("len {len}");
+            let words = sample_words(len);
+            let (mut fast, mut slow) = (MemImage::new(), MemImage::new());
+            // A mapped first page, so the tracked array starts on a page with
+            // pre-write contents to journal.
+            fast.alloc_array(&[1, 2, 3]);
+            alloc_array_per_word(&mut slow, &[1, 2, 3]);
+            let (before, before_brk) = (fast.content_hash(), fast.allocated_bytes());
+            fast.begin_tracking();
+            slow.begin_tracking();
+            fast.alloc_array(&words);
+            alloc_array_per_word(&mut slow, &words);
+            let fast_delta = fast.take_delta().unwrap();
+            let slow_delta = slow.take_delta().unwrap();
+            let journal = |d: &MemDelta| -> Vec<(u64, Option<[u64; PAGE_WORDS]>)> {
+                d.saved
+                    .iter()
+                    .map(|(page, prev)| (*page, prev.as_ref().map(|p| **p)))
+                    .collect()
+            };
+            assert_eq!(
+                journal(&fast_delta),
+                journal(&slow_delta),
+                "{what}: journal"
+            );
+            assert_same_image(&fast, &slow, &what);
+            fast.restore(&fast_delta);
+            slow.restore(&slow_delta);
+            assert_same_image(&fast, &slow, &what);
+            assert_eq!(fast.content_hash(), before, "{what}: restored content");
+            assert_eq!(fast.allocated_bytes(), before_brk, "{what}: restored brk");
+        }
     }
 
     #[test]

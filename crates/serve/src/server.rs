@@ -421,6 +421,8 @@ pub struct ServeMetrics {
     pub submit_latency_us: Arc<Histogram>,
     /// Acceptance → worker pickup (µs).
     pub queue_wait_us: Arc<Histogram>,
+    /// Workload build time per simulated job (µs), before `simulate_us`.
+    pub build_us: Arc<Histogram>,
     /// Wall time inside the simulator per simulated job (µs).
     pub simulate_us: Arc<Histogram>,
     /// Duration of `GET /v1/jobs/<hash>/stream` responses (µs).
@@ -439,6 +441,8 @@ impl ServeMetrics {
                 .histogram("submit_latency_us", "POST /v1/jobs handling latency (us)"),
             queue_wait_us: registry
                 .histogram("queue_wait_us", "Job acceptance to worker pickup (us)"),
+            build_us: registry
+                .histogram("build_us", "Workload build time per simulated job (us)"),
             simulate_us: registry
                 .histogram("simulate_us", "Simulator wall time per simulated job (us)"),
             stream_us: registry
@@ -819,7 +823,10 @@ impl Server {
     fn simulate(&self, job: &Arc<Job>, resolved: &ResolvedPoint) {
         let kernel = resolved.kernel;
         let scale = resolved.scale;
+        let build_start = Instant::now();
         let built = catch_unwind(AssertUnwindSafe(|| kernel.build(scale)));
+        let build_wall = build_start.elapsed();
+        self.metrics.build_us.record_duration_us(build_wall);
         let workload = match built {
             Ok(w) => w,
             Err(_) => {
@@ -866,6 +873,7 @@ impl Server {
                     "job_simulated",
                     &[
                         ("hash", Json::str(format!("{:016x}", job.hash))),
+                        ("build_us", Json::u64(duration_us(build_wall))),
                         ("simulate_us", Json::u64(duration_us(sim_wall))),
                         ("cycles", Json::u64(report.core.cycles)),
                     ],
@@ -1649,6 +1657,8 @@ mod tests {
             "expected interval events, got {events:?}"
         );
         assert_eq!(srv.counters.simulated.get(), 1);
+        // Every simulated job records its workload build, once.
+        assert_eq!(srv.metrics.build_us.snapshot().count, 1);
         assert!(
             !srv.pending_path(job.hash).exists(),
             "terminal job leaves no pending journal entry"
@@ -1666,6 +1676,7 @@ mod tests {
         assert_eq!(job2.phase(), Phase::Done);
         assert_eq!(srv2.counters.cached.get(), 1);
         assert_eq!(srv2.counters.simulated.get(), 0);
+        assert_eq!(srv2.metrics.build_us.snapshot().count, 0, "a cache hit builds nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -423,11 +423,12 @@ impl Sweep {
 
         // Simulate the misses in parallel (deterministic per point). Points
         // are grouped by workload so each kernel is *built once per sweep*,
-        // not once per configuration: graph construction (ORK/LJN inputs)
-        // costs more wall time than simulating the point itself, so the old
-        // per-point `run_kernel` spent most of the sweep rebuilding identical
-        // inputs. Workers claim whole groups; the built workload is reused
-        // for every configuration in the group and dropped before the next.
+        // not once per configuration: a full-scale graph build (~0.3 s for
+        // PR_KR, ~0.6 s for the denser ORK input) costs about as much as a
+        // sampled point's whole simulation, so rebuilding per configuration
+        // would spend a sampled sweep largely on identical inputs. Workers
+        // claim whole groups; the built workload is reused for every
+        // configuration in the group and dropped before the next.
         //
         // Every job — including workload construction — runs panic-isolated:
         // one failing point (panic, watchdog trip, invariant violation)

@@ -28,20 +28,27 @@ pub struct Csr {
 impl Csr {
     /// Builds a CSR from an edge list (duplicates kept, self-loops dropped).
     pub fn from_edges(n: usize, edges: &[(u64, u64)]) -> Self {
-        let mut degree = vec![0u64; n];
-        for &(u, v) in edges {
-            if u != v {
-                degree[u as usize] += 1;
-            }
-            let _ = v;
-        }
+        Csr::build(n, edges)
+    }
+
+    /// The one CSR construction path, over any vertex-id width: the
+    /// generators keep their transient edge lists as `(u32, u32)`, half the
+    /// bytes of `(u64, u64)`.
+    fn build<T: Copy + Into<u64>>(n: usize, edges: &[(T, T)]) -> Self {
         let mut offsets = vec![0u64; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
+        for &(u, v) in edges {
+            let u: u64 = u.into();
+            if u != v.into() {
+                offsets[u as usize + 1] += 1;
+            }
         }
-        let mut cursor = offsets.clone();
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets[..n].to_vec();
         let mut neighbors = vec![0u64; offsets[n] as usize];
         for &(u, v) in edges {
+            let (u, v): (u64, u64) = (u.into(), v.into());
             if u == v {
                 continue;
             }
@@ -151,48 +158,65 @@ impl GraphInput {
 }
 
 /// Uniform-random digraph: `n * edge_factor` edges with i.i.d. endpoints.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX` (vertex ids are kept as `u32`).
 pub fn uniform(n: usize, edge_factor: usize, seed: u64) -> Csr {
+    assert!(n <= u32::MAX as usize, "{n} vertices do not fit u32 ids");
     let mut rng = Rng64::new(seed);
     let m = n * edge_factor;
-    let edges: Vec<(u64, u64)> = (0..m)
-        .map(|_| (rng.below(n as u64), rng.below(n as u64)))
+    let edges: Vec<(u32, u32)> = (0..m)
+        .map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32))
         .collect();
-    Csr::from_edges(n, &edges)
+    Csr::build(n, &edges)
+}
+
+/// The 53-bit integer cutoff `c` for which `next_f64() < x` holds exactly
+/// when `next_u64() >> 11 < c`. `next_f64()` is `k · 2⁻⁵³` for the 53-bit
+/// integer `k = next_u64() >> 11`, and scaling by a power of two is exact,
+/// so `k · 2⁻⁵³ < x` ⇔ `k < x · 2⁵³` ⇔ `k < ⌈x · 2⁵³⌉` for integer `k`.
+fn cut(x: f64) -> u64 {
+    (x * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// RMAT/Kronecker generator with recursive quadrant probabilities
 /// `(a, b, c)` (d = 1 - a - b - c), Graph500-style.
+///
+/// Each level draws one `k = next_u64() >> 11` and picks its quadrant by
+/// comparing `k` against the integer cutoffs of `a`, `a + b` and
+/// `a + b + c` (see [`cut`]), without branches: the same graph as comparing
+/// `next_f64()` against the float sums, bit for bit.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX` (vertex ids are kept as `u32`).
 pub fn rmat(n: usize, edge_factor: usize, abc: (f64, f64, f64), seed: u64) -> Csr {
-    let n_pow2 = n.next_power_of_two();
-    let levels = n_pow2.trailing_zeros();
+    assert!(n <= u32::MAX as usize, "{n} vertices do not fit u32 ids");
+    let levels = n.next_power_of_two().trailing_zeros();
     let (a, b, c) = abc;
+    let (c_a, c_ab, c_abc) = (cut(a), cut(a + b), cut(a + b + c));
     let mut rng = Rng64::new(seed);
     let m = n * edge_factor;
-    let mut edges = Vec::with_capacity(m);
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
     for _ in 0..m {
         let (mut u, mut v) = (0u64, 0u64);
         for _ in 0..levels {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.next_f64();
-            if r < a {
-                // top-left
-            } else if r < a + b {
-                v |= 1;
-            } else if r < a + b + c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            let k = rng.next_u64() >> 11;
+            // Quadrants in order: [0, a) top-left, [a, a+b) v, [a+b, a+b+c)
+            // u, the rest both.
+            let u_bit = k >= c_ab;
+            let v_bit = ((k >= c_a) ^ (k >= c_ab)) | (k >= c_abc);
+            u = (u << 1) | u64::from(u_bit);
+            v = (v << 1) | u64::from(v_bit);
         }
         // Permute to avoid locality artifacts of the bit construction and
         // fold into the requested vertex count.
         let u = scramble(u, seed) % n as u64;
         let v = scramble(v, seed.wrapping_add(1)) % n as u64;
-        edges.push((u, v));
+        edges.push((u as u32, v as u32));
     }
-    Csr::from_edges(n, &edges)
+    Csr::build(n, &edges)
 }
 
 fn scramble(x: u64, seed: u64) -> u64 {
@@ -207,6 +231,7 @@ fn scramble(x: u64, seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Scale;
 
     #[test]
     fn csr_from_edges_basics() {
@@ -262,5 +287,129 @@ mod tests {
         let g = GraphInput::Ork.generate(256, 4, 1);
         // ORK doubles the edge factor.
         assert!(g.num_edges() >= 256 * 7);
+    }
+
+    /// What `Rng64::next_f64` returns for a draw whose top 53 bits are `k`.
+    fn as_f64(k: u64) -> f64 {
+        k as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// `k < cut(x)` ⇔ `as_f64(k) < x` at the extremes of the 53-bit range,
+    /// at and around the cutoff, and at a few random `k`.
+    fn check_cut(x: f64, rng: &mut Rng64) {
+        let top = 1u64 << 53;
+        let c = cut(x);
+        let near = c.saturating_sub(3)..=c.saturating_add(3);
+        let random: Vec<u64> = (0..8).map(|_| rng.next_u64() >> 11).collect();
+        for k in [0, 1, top - 2, top - 1]
+            .into_iter()
+            .chain(near)
+            .chain(random)
+        {
+            if k < top {
+                assert_eq!(k < c, as_f64(k) < x, "x={x:e} k={k} cut={c}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_cutoff_matches_float_compare() {
+        let mut rng = Rng64::new(0xC07);
+        // Random thresholds, and thresholds that are themselves multiples of
+        // 2⁻⁵³ (where `x · 2⁵³` is an integer and the ceiling is a no-op).
+        for _ in 0..5_000 {
+            let x = rng.next_f64();
+            check_cut(x, &mut rng);
+            let on_grid = as_f64(rng.next_u64() >> 11);
+            check_cut(on_grid, &mut rng);
+        }
+        // The exact float sums `rmat` forms for KR, LJN, TW and ORK (the
+        // parameters of `GraphInput::generate`).
+        for (a, b, c) in [
+            (0.57, 0.19, 0.19),
+            (0.48, 0.22, 0.22),
+            (0.62, 0.18, 0.18),
+            (0.45, 0.22, 0.22),
+        ] {
+            for x in [a, a + b, a + b + c] {
+                check_cut(x, &mut rng);
+            }
+        }
+        // Edges: nothing is below 0, everything is below 1.
+        assert_eq!(cut(0.0), 0);
+        assert_eq!(cut(1.0), 1 << 53);
+        check_cut(0.0, &mut rng);
+        check_cut(1.0, &mut rng);
+    }
+
+    /// FNV-1a over the lengths and words of `offsets` and `neighbors`.
+    fn csr_hash(g: &Csr) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for part in [g.offsets(), g.neighbors()] {
+            for &x in std::iter::once(&(part.len() as u64)).chain(part) {
+                h = (h ^ x).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Checks each input's graph at `scale` (built exactly as the GAP kernels
+    /// build it) against content hashes recorded from the original
+    /// float-compare, `(u64, u64)`-edge generator. A mismatch means the
+    /// generator's output changed; the pins are never re-recorded.
+    fn check_pins(scale: Scale, pins: [u64; 5]) {
+        let got: Vec<u64> = GraphInput::ALL
+            .iter()
+            .map(|input| csr_hash(&input.generate(scale.nodes(), scale.edge_factor(), 0xC0FFEE)))
+            .collect();
+        assert_eq!(
+            got, pins,
+            "{scale:?} graph content changed (order: KR UR LJN TW ORK)"
+        );
+    }
+
+    #[test]
+    fn graph_content_is_pinned_at_tiny_scale() {
+        check_pins(
+            Scale::Tiny,
+            [
+                0xb0ca_20fc_373c_6c69,
+                0xa278_a6e9_e29e_61b7,
+                0xa832_e881_da8e_8abd,
+                0x5bfe_cfbd_ef69_c776,
+                0xd2a1_5b39_3988_8272,
+            ],
+        );
+    }
+
+    #[test]
+    fn graph_content_is_pinned_at_small_scale() {
+        check_pins(
+            Scale::Small,
+            [
+                0x2382_58a0_5c6e_c1a4,
+                0x1fa6_0b5f_1271_5a95,
+                0xf50b_1894_37f5_3509,
+                0x165f_ae20_3813_9a36,
+                0x719b_0977_b835_70b1,
+            ],
+        );
+    }
+
+    /// Full scale takes seconds per graph in a debug build; `scripts/ci.sh`
+    /// runs it in release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn graph_content_is_pinned_at_full_scale() {
+        check_pins(
+            Scale::Full,
+            [
+                0xd4ec_9614_37e4_6e90,
+                0xef7d_3b08_cb61_b734,
+                0x1665_2f49_5e5d_d432,
+                0x07be_2dd9_4ee1_7cd1,
+                0x8057_9372_82e9_00e7,
+            ],
+        );
     }
 }

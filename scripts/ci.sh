@@ -16,6 +16,11 @@ cargo clippy --workspace --release -- -D warnings
 echo "=== cargo test -q ==="
 cargo test --workspace -q --release
 
+echo "=== graph pins at full scale: generated graphs are byte-identical ==="
+# The full-scale content pins take seconds per graph in a debug build, so
+# they are #[ignore]d there and run here, in release.
+cargo test --release -q -p svr-workloads -- --ignored
+
 echo "=== cache check: fig11_cpi twice at tiny scale ==="
 CACHE_DIR="$(mktemp -d)"
 OUT_DIR="$(mktemp -d)"
@@ -373,9 +378,11 @@ prom() { awk -v m="$1" '$1 == m { print $2 }' "$2"; }
 msim=$(prom jobs_simulated_total "$SERVE_OUT/metrics1.txt")
 mjoin=$(prom jobs_joined_total "$SERVE_OUT/metrics1.txt")
 mhits=$(prom cache_hits_total "$SERVE_OUT/metrics1.txt")
-echo "scraped: jobs_simulated_total=$msim jobs_joined_total=$mjoin cache_hits_total=$mhits"
-if [ "$msim" != "$ssim" ] || [ "$mjoin" != "$sjoin" ] || [ "$mhits" != "0" ]; then
-  echo "FAIL: /v1/metrics disagrees with status (sim $msim/$ssim join $mjoin/$sjoin hits $mhits/0)" >&2
+mbuilds=$(prom build_us_count "$SERVE_OUT/metrics1.txt")
+echo "scraped: jobs_simulated_total=$msim jobs_joined_total=$mjoin cache_hits_total=$mhits build_us_count=$mbuilds"
+if [ "$msim" != "$ssim" ] || [ "$mjoin" != "$sjoin" ] || [ "$mhits" != "0" ] \
+  || [ "$mbuilds" != "$ssim" ]; then
+  echo "FAIL: /v1/metrics disagrees with status (sim $msim/$ssim join $mjoin/$sjoin hits $mhits/0 builds $mbuilds/$ssim)" >&2
   cat "$SERVE_OUT/metrics1.txt" >&2; exit 1
 fi
 
